@@ -17,6 +17,10 @@ Rules that keep the gate honest on noisy runners:
 Refresh the snapshot after an intentional perf change::
 
     python scripts/check_perf.py --update
+
+Both a passing gate run and ``--update`` copy the current document to the
+perf trajectory, ``--trajectory PATH`` (default: the repo-root
+``BENCH_engine.json``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_engine.snapshot.json"
 #: Committed per-PR perf trajectory: the repo-root copy of the latest
 #: benchmark document, refreshed by the CI perf stage (and by --update) so
 #: `git log -p BENCH_engine.json` reads as the perf history of the project.
-TRAJECTORY = REPO_ROOT / "BENCH_engine.json"
+DEFAULT_TRAJECTORY = REPO_ROOT / "BENCH_engine.json"
 
 
 def load_document(path: Path, role: str) -> dict:
@@ -142,6 +146,11 @@ def main(argv: list[str] | None = None) -> int:
         help="timings where both sides are under this floor are exempt",
     )
     parser.add_argument(
+        "--trajectory", type=Path, default=DEFAULT_TRAJECTORY,
+        help="perf trajectory refreshed by a passing gate run and by --update "
+        "(default: the repo-root BENCH_engine.json)",
+    )
+    parser.add_argument(
         "--update", action="store_true",
         help="copy the current document over the baseline and exit",
     )
@@ -151,12 +160,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.update:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(args.current, args.baseline)
-        shutil.copyfile(args.current, TRAJECTORY)
+        shutil.copyfile(args.current, args.trajectory)
         print(
             f"snapshot updated: {args.baseline} now holds "
             f"{len(current['phases'])} phase(s) ({', '.join(sorted(current['phases']))})"
         )
-        print(f"perf trajectory refreshed: {TRAJECTORY}")
+        print(f"perf trajectory refreshed: {args.trajectory}")
         return 0
     baseline = load_document(args.baseline, "baseline")
 
@@ -175,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     print("perf gate OK: no timing regressed beyond the threshold")
+    shutil.copyfile(args.current, args.trajectory)
+    print(f"perf trajectory refreshed: {args.trajectory}")
     return 0
 
 

@@ -434,7 +434,12 @@ def load_status(target: str | Path) -> dict[str, Any]:
     path = Path(target)
     if path.is_dir():
         path = path / STATUS_FILENAME
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except IsADirectoryError:
+        # A sweep created the status directory between the check and the
+        # read (a reader polling before the first write): read inside it.
+        return load_status(path)
 
 
 def _fmt_eta(seconds: Any) -> str:

@@ -252,7 +252,12 @@ class ByzantineWindow:
 
 @dataclass(frozen=True)
 class ScenarioState:
-    """The environment one round sees: who is up, who talks to whom, who lags."""
+    """The environment one round sees: who is up, who talks to whom, who lags.
+
+    A per-node active mask is derived once from ``active`` (it is not a
+    dataclass field, so equality is unchanged), which makes
+    :meth:`is_active` and :meth:`allows` constant-time lookups.
+    """
 
     round_index: int
     active: tuple[int, ...]
@@ -260,8 +265,14 @@ class ScenarioState:
     slowdowns: tuple[float, ...]
     byzantine: tuple[str | None, ...] = ()
 
+    def __post_init__(self) -> None:
+        mask = [False] * len(self.partition_ids)
+        for node in self.active:
+            mask[node] = True
+        object.__setattr__(self, "active_mask", tuple(mask))
+
     def is_active(self, node: int) -> bool:
-        return node in self.active
+        return self.active_mask[node]
 
     def byzantine_mode(self, node: int) -> str | None:
         """The attack ``node`` mounts this round (``None`` for honest nodes)."""
@@ -273,7 +284,8 @@ class ScenarioState:
     def allows(self, sender: int, receiver: int) -> bool:
         """Whether a message from ``sender`` can reach ``receiver`` this round."""
 
-        if sender not in self.active or receiver not in self.active:
+        mask = self.active_mask
+        if not (mask[sender] and mask[receiver]):
             return False
         return self.partition_ids[sender] == self.partition_ids[receiver]
 

@@ -469,8 +469,7 @@ class ArenaSynchronousMode(SynchronousMode):
             # -- meter time and bytes (identical to the per-node mode) -------------
             max_bytes = max(
                 (
-                    message.size.total_bytes
-                    * len(simulator.topology.neighbors(message.sender))
+                    message.size.total_bytes * simulator.topology.degree(message.sender)
                     for message in messages.values()
                 ),
                 default=0,

@@ -54,7 +54,7 @@ from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
 from repro.simulation.node import SimulationNode
 from repro.topology.graphs import Topology
-from repro.topology.weights import metropolis_hastings_weights
+from repro.topology.weights import MixingWeights, metropolis_hastings_weights
 from repro.utils.profiling import PhaseTimer, Profiler
 from repro.utils.rng import SeedSequenceFactory
 
@@ -256,7 +256,13 @@ class Simulator:
         self.topology: Topology = self.scenario.topology.initial(
             config.num_nodes, config.degree, self._topology_rng
         )
-        self.weights = metropolis_hastings_weights(self.topology)
+        self.weights: MixingWeights = metropolis_hastings_weights(self.topology)
+        # The schedule is immutable, so a round's state is computed once and
+        # shared by every lookup; only rounds still in flight are kept.
+        self._scenario_states: dict[int, ScenarioState] = {}
+        # Per-round rows of ``result.scenario_rounds``, captured as each
+        # round's state is first computed.
+        self._scenario_rows: dict[int, dict[str, Any]] = {}
 
         resolved_scheme = scheme_name or self.nodes[0].scheme.name
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -477,9 +483,28 @@ class Simulator:
         return self.profiler.phase(name)
 
     def scenario_state(self, round_index: int) -> ScenarioState:
-        """The environment state (activity, partitions, slowdowns) at a round."""
+        """The environment state (activity, partitions, slowdowns) at a round.
 
-        return self.scenario.state_at(round_index, self.config.num_nodes)
+        Memoized per round.  No execution mode asks for a round older than
+        the globally completed one (the sync barrier round, or the slowest
+        node's round under gossip), so those entries are evicted whenever a
+        new round is computed.
+        """
+
+        state = self._scenario_states.get(round_index)
+        if state is None:
+            state = self.scenario.state_at(round_index, self.config.num_nodes)
+            floor = self.result.rounds_completed
+            for stale in [key for key in self._scenario_states if key < floor]:
+                del self._scenario_states[stale]
+            self._scenario_states[round_index] = state
+            if self.scenario.has_events:
+                self._scenario_rows[round_index] = {
+                    "round": round_index,
+                    "active_nodes": list(state.active),
+                    "partition_ids": list(state.partition_ids),
+                }
+        return state
 
     def apply_topology_policy(self, round_index: int) -> bool:
         """Ask the scenario's topology policy for round ``round_index``.
@@ -509,15 +534,15 @@ class Simulator:
     ) -> RoundContext:
         """Build the :class:`RoundContext` a scheme sees for one round."""
 
-        neighbor_weights = {
-            neighbor: float(self.weights[node.node_id, neighbor])
-            for neighbor in self.topology.neighbors(node.node_id)
-        }
+        node_id = node.node_id
+        neighbor_weights = dict(
+            zip(self.topology.neighbors(node_id), self.weights.row(node_id).tolist())
+        )
         return RoundContext(
             round_index=round_index,
             params_start=params_start,
             params_trained=params_trained,
-            self_weight=float(self.weights[node.node_id, node.node_id]),
+            self_weight=float(self.weights.self_weights[node_id]),
             neighbor_weights=neighbor_weights,
             rng=self.seeds.node_rng(node.node_id, "round", round_index),
             now=now,
@@ -741,14 +766,10 @@ class Simulator:
             # The trace is a pure function of the schedule, recorded for every
             # round the run actually completed (early stop truncates it).
             for round_index in range(self.result.rounds_completed):
-                state = self.scenario_state(round_index)
-                self.result.scenario_rounds.append(
-                    {
-                        "round": round_index,
-                        "active_nodes": list(state.active),
-                        "partition_ids": list(state.partition_ids),
-                    }
-                )
+                if round_index not in self._scenario_rows:
+                    # Completed before a resume: never computed in this process.
+                    self.scenario_state(round_index)
+                self.result.scenario_rounds.append(self._scenario_rows[round_index])
         self.result.total_bytes = self.meter.total_bytes
         self.result.total_metadata_bytes = self.meter.total_metadata_bytes
         self.result.total_values_bytes = self.meter.total_values_bytes
@@ -855,8 +876,7 @@ class SynchronousMode(ExecutionMode):
             # advances the barrier clock by a silent round's duration.
             max_bytes = max(
                 (
-                    message.size.total_bytes
-                    * len(simulator.topology.neighbors(message.sender))
+                    message.size.total_bytes * simulator.topology.degree(message.sender)
                     for message in messages.values()
                 ),
                 default=0,

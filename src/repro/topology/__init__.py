@@ -1,7 +1,6 @@
 """Topology substrate: communication graphs, mixing weights and policies."""
 
 from repro.topology.graphs import (
-    DynamicTopology,
     Topology,
     clustered_topology,
     fully_connected_topology,
@@ -16,11 +15,11 @@ from repro.topology.policy import (
     TopologyPolicy,
     topology_policy_from_dict,
 )
-from repro.topology.weights import metropolis_hastings_weights, uniform_neighbor_weights
+from repro.topology.weights import MixingWeights, metropolis_hastings_weights
 
 __all__ = [
-    "DynamicTopology",
     "GeneratorPolicy",
+    "MixingWeights",
     "TOPOLOGY_GENERATORS",
     "Topology",
     "TopologyPolicy",
@@ -32,5 +31,4 @@ __all__ = [
     "star_topology",
     "topology_policy_from_dict",
     "metropolis_hastings_weights",
-    "uniform_neighbor_weights",
 ]

@@ -3,8 +3,9 @@
 Nodes in decentralized learning are connected according to an undirected graph
 G = (V, E); the paper uses random d-regular graphs (d = 4 for 96 nodes, up to
 d = 6 for 384 nodes) and, in Section IV-D, a *dynamic* topology that is
-re-sampled every round.  Construction is backed by :mod:`networkx` and every
-topology is validated to be connected so the decentralized averaging mixes.
+re-sampled every round (a rewiring :class:`~repro.topology.policy.GeneratorPolicy`).
+The random generators are backed by :mod:`networkx` and every topology is
+validated to be connected so the decentralized averaging mixes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from repro.exceptions import TopologyError
 
 __all__ = [
-    "DynamicTopology",
     "Topology",
     "clustered_topology",
     "fully_connected_topology",
@@ -30,7 +30,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Topology:
-    """An undirected communication graph over ``num_nodes`` nodes."""
+    """An undirected communication graph over ``num_nodes`` nodes.
+
+    The neighbor structure is compressed once per instance into read-only
+    CSR arrays (``indptr``, ``indices``, plus the per-node ``degrees``): node
+    ``i``'s sorted neighbors are ``indices[indptr[i]:indptr[i + 1]]``.  They
+    are derived state, not dataclass fields, so equality, hashing and the
+    ``edges`` a snapshot records are exactly those of the edge list.
+    """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
@@ -38,40 +45,55 @@ class Topology:
     def __post_init__(self) -> None:
         if self.num_nodes <= 1:
             raise TopologyError("a topology needs at least two nodes")
-        for u, v in self.edges:
-            if u == v:
+        pairs = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self_loops = pairs[:, 0] == pairs[:, 1]
+        invalid = self_loops | np.any((pairs < 0) | (pairs >= self.num_nodes), axis=1)
+        if invalid.any():
+            first = int(np.argmax(invalid))
+            if self_loops[first]:
                 raise TopologyError("self loops are not allowed")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise TopologyError(f"edge ({u}, {v}) references an unknown node")
+            u, v = pairs[first].tolist()
+            raise TopologyError(f"edge ({u}, {v}) references an unknown node")
+        # Both directions of every edge, deduplicated and sorted by
+        # (node, neighbor): one key per directed pair.
+        keys = np.unique(
+            np.concatenate([pairs[:, 0], pairs[:, 1]]) * self.num_nodes
+            + np.concatenate([pairs[:, 1], pairs[:, 0]])
+        )
+        indices = keys % self.num_nodes
+        degrees = np.bincount(keys // self.num_nodes, minlength=self.num_nodes)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        for array in (indptr, indices, degrees):
+            array.flags.writeable = False
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "degrees", degrees)
 
     def neighbors(self, node: int) -> list[int]:
         """Sorted neighbor list of ``node``."""
 
-        found = set()
-        for u, v in self.edges:
-            if u == node:
-                found.add(v)
-            elif v == node:
-                found.add(u)
-        return sorted(found)
+        return self.indices[self.indptr[node] : self.indptr[node + 1]].tolist()
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix."""
-
-        matrix = np.zeros((self.num_nodes, self.num_nodes))
-        for u, v in self.edges:
-            matrix[u, v] = 1.0
-            matrix[v, u] = 1.0
-        return matrix
+        return int(self.degrees[node])
 
     def is_connected(self) -> bool:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_nodes))
-        graph.add_edges_from(self.edges)
-        return nx.is_connected(graph)
+        """Breadth-first search from node 0 over the CSR adjacency."""
+
+        indptr, indices = self.indptr.tolist(), self.indices.tolist()
+        seen = [False] * self.num_nodes
+        seen[0] = True
+        frontier = [0]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for neighbor in indices[indptr[node] : indptr[node + 1]]:
+                    if not seen[neighbor]:
+                        seen[neighbor] = True
+                        next_frontier.append(neighbor)
+            frontier = next_frontier
+        return all(seen)
 
 
 def _from_networkx(graph: nx.Graph, num_nodes: int) -> Topology:
@@ -202,28 +224,3 @@ def star_topology(num_nodes: int, center: int = 0) -> Topology:
         (min(center, node), max(center, node)) for node in range(num_nodes) if node != center
     )
     return Topology(num_nodes=num_nodes, edges=edges)
-
-
-class DynamicTopology:
-    """A topology that is re-sampled every communication round.
-
-    Section IV-D of the paper shows that randomizing neighbors every round
-    improves model mixing for both full sharing and JWINS (and breaks CHOCO,
-    whose error-feedback state is tied to fixed neighbors).
-    """
-
-    def __init__(self, num_nodes: int, degree: int, rng: np.random.Generator) -> None:
-        self.num_nodes = int(num_nodes)
-        self.degree = int(degree)
-        self._rng = rng
-        self._current = random_regular_topology(num_nodes, degree, rng)
-
-    @property
-    def current(self) -> Topology:
-        return self._current
-
-    def advance(self) -> Topology:
-        """Sample the topology for the next round and return it."""
-
-        self._current = random_regular_topology(self.num_nodes, self.degree, self._rng)
-        return self._current

@@ -9,6 +9,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 CHECK_PERF = REPO_ROOT / "scripts" / "check_perf.py"
+COMMITTED_TRAJECTORY = REPO_ROOT / "BENCH_engine.json"
 
 
 def _document(train: float, total: float, rss: int = 100 * 2**20) -> dict:
@@ -36,6 +37,7 @@ def _run(tmp_path: Path, baseline: dict | None, current: dict, *extra: str):
             sys.executable, str(CHECK_PERF),
             "--current", str(current_path),
             "--baseline", str(baseline_path),
+            "--trajectory", str(tmp_path / "trajectory.json"),
             *extra,
         ],
         capture_output=True,
@@ -86,11 +88,32 @@ def test_phases_missing_from_the_baseline_are_skipped(tmp_path):
 
 
 def test_update_writes_the_snapshot(tmp_path):
+    committed = COMMITTED_TRAJECTORY.read_bytes()
     current = _document(train=0.5, total=1.0)
     completed = _run(tmp_path, None, current, "--update")
     assert completed.returncode == 0
     written = json.loads((tmp_path / "baseline.json").read_text(encoding="utf-8"))
     assert written == current
+    trajectory = json.loads((tmp_path / "trajectory.json").read_text(encoding="utf-8"))
+    assert trajectory == current
+    # The committed repo-root trajectory is never a test fixture.
+    assert COMMITTED_TRAJECTORY.read_bytes() == committed
+
+
+def test_passing_gate_refreshes_only_the_given_trajectory(tmp_path):
+    committed = COMMITTED_TRAJECTORY.read_bytes()
+    document = _document(train=0.5, total=1.0)
+    assert _run(tmp_path, document, document).returncode == 0
+    assert json.loads((tmp_path / "trajectory.json").read_text(encoding="utf-8")) == document
+    assert COMMITTED_TRAJECTORY.read_bytes() == committed
+
+
+def test_failing_gate_leaves_the_trajectory_alone(tmp_path):
+    completed = _run(
+        tmp_path, _document(train=0.5, total=1.0), _document(train=0.8, total=1.3)
+    )
+    assert completed.returncode == 1
+    assert not (tmp_path / "trajectory.json").exists()
 
 
 def test_missing_baseline_is_a_clear_error(tmp_path):

@@ -184,6 +184,23 @@ def test_status_json_is_always_parsable_during_a_pool_sweep(tmp_path):
     assert final["counts"]["done"] == 2
 
 
+def test_load_status_survives_the_directory_appearing_mid_read(tmp_path, monkeypatch):
+    # A poller can check ``is_dir()`` just before the sweep creates the
+    # status directory; the read then hits the directory itself.
+    status_dir = tmp_path / "status"
+    status_dir.mkdir()
+    (status_dir / "status.json").write_text('{"state": "running"}', encoding="utf-8")
+    checks = []
+    real_is_dir = type(status_dir).is_dir
+
+    def is_dir_missing_once(path):
+        checks.append(path)
+        return len(checks) > 1 and real_is_dir(path)
+
+    monkeypatch.setattr(type(status_dir), "is_dir", is_dir_missing_once)
+    assert load_status(status_dir) == {"state": "running"}
+
+
 def test_sweep_skip_path_reports_skipped_cells(tmp_path):
     store = ResultStore(tmp_path / "store.jsonl")
     run_sweep(_sweep(), store)

@@ -22,7 +22,7 @@ def test_regular_topology_and_weights_invariants(num_nodes, degree, seed):
     degrees = [topology.degree(node) for node in range(num_nodes)]
     assert set(degrees) == {degree}
 
-    weights = metropolis_hastings_weights(topology)
+    weights = metropolis_hastings_weights(topology).to_dense()
     assert np.allclose(weights, weights.T)
     assert np.allclose(weights.sum(axis=1), 1.0)
     assert np.all(weights >= -1e-12)
@@ -37,7 +37,7 @@ def test_gossip_preserves_global_average(num_nodes, seed):
     """One mixing step never changes the network-wide average model."""
 
     topology = ring_topology(num_nodes)
-    weights = metropolis_hastings_weights(topology)
+    weights = metropolis_hastings_weights(topology).to_dense()
     values = np.random.default_rng(seed).normal(size=(num_nodes, 4))
     mixed = weights @ values
     assert np.allclose(mixed.mean(axis=0), values.mean(axis=0), atol=1e-10)
@@ -52,7 +52,7 @@ def test_gossip_contracts_disagreement(num_nodes, seed):
     """Mixing never increases the spread (variance) of node values."""
 
     topology = ring_topology(num_nodes)
-    weights = metropolis_hastings_weights(topology)
+    weights = metropolis_hastings_weights(topology).to_dense()
     values = np.random.default_rng(seed).normal(size=num_nodes)
     mixed = weights @ values
     assert np.var(mixed) <= np.var(values) + 1e-12

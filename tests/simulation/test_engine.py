@@ -73,7 +73,7 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
 
     topology_rng = seeds.rng("topology")
     topology = random_regular_topology(config.num_nodes, config.degree, topology_rng)
-    weights = metropolis_hastings_weights(topology)
+    weights = metropolis_hastings_weights(topology).to_dense()
 
     meter = ByteMeter(config.num_nodes)
     eval_rng = seeds.rng("evaluation")
@@ -113,7 +113,7 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
     for round_index in range(config.rounds):
         if config.dynamic_topology and round_index > 0:
             topology = random_regular_topology(config.num_nodes, config.degree, topology_rng)
-            weights = metropolis_hastings_weights(topology)
+            weights = metropolis_hastings_weights(topology).to_dense()
 
         contexts, messages = [], []
         for node in nodes:

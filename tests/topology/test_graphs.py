@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import TopologyError
 from repro.topology.graphs import (
-    DynamicTopology,
     Topology,
     fully_connected_topology,
     random_regular_topology,
@@ -73,20 +72,45 @@ def test_topology_rejects_unknown_nodes():
         Topology(num_nodes=3, edges=((0, 5),))
 
 
-def test_adjacency_matrix_symmetric():
-    topology = random_regular_topology(10, 3, np.random.default_rng(1))
-    matrix = topology.adjacency_matrix()
-    assert np.array_equal(matrix, matrix.T)
-    assert matrix.sum() == 10 * 3
+def _scanned_neighbors(topology, node):
+    """Reference lookup: scan every edge (the pre-CSR implementation)."""
+
+    found = set()
+    for u, v in topology.edges:
+        if u == node:
+            found.add(v)
+        elif v == node:
+            found.add(u)
+    return sorted(found)
 
 
-def test_dynamic_topology_changes_every_round():
-    dynamic = DynamicTopology(12, 4, np.random.default_rng(2))
-    first = dynamic.current.edges
-    second = dynamic.advance().edges
-    third = dynamic.advance().edges
-    assert dynamic.current.edges == third
-    assert first != second or second != third
-    assert all(
-        dynamic.current.degree(node) == 4 for node in range(12)
-    )
+@pytest.mark.parametrize(
+    "topology",
+    [
+        random_regular_topology(40, 6, np.random.default_rng(3)),
+        star_topology(7, center=2),
+        ring_topology(5),
+        # Duplicate and reversed edges collapse to one neighbor entry.
+        Topology(num_nodes=4, edges=((0, 1), (1, 0), (0, 1), (2, 3))),
+    ],
+)
+def test_csr_neighbors_and_degrees_match_an_edge_scan(topology):
+    for node in range(topology.num_nodes):
+        expected = _scanned_neighbors(topology, node)
+        assert topology.neighbors(node) == expected
+        assert topology.degree(node) == len(expected)
+    assert topology.indptr[-1] == len(topology.indices) == int(topology.degrees.sum())
+
+
+def test_derived_csr_state_leaves_equality_and_edges_untouched():
+    a = Topology(num_nodes=3, edges=((0, 1), (1, 2)))
+    b = Topology(num_nodes=3, edges=((0, 1), (1, 2)))
+    assert a == b and hash(a) == hash(b)
+    assert a.edges == ((0, 1), (1, 2))
+    assert a != Topology(num_nodes=3, edges=((0, 1), (0, 2)))
+
+
+def test_is_connected_detects_a_split_graph():
+    assert not Topology(num_nodes=4, edges=((0, 1), (2, 3))).is_connected()
+    assert not Topology(num_nodes=3, edges=()).is_connected()
+    assert Topology(num_nodes=4, edges=((0, 1), (1, 2), (2, 3))).is_connected()
