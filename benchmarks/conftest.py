@@ -2,8 +2,12 @@
 
 Every benchmark regenerates one table or figure of the paper at simulator
 scale (fewer nodes, fewer rounds, smaller synthetic models), prints the same
-rows/series the paper reports and writes them to ``benchmarks/output/`` so
-that EXPERIMENTS.md can quote them.  The absolute numbers differ from the
+rows/series the paper reports and writes them to an output directory.  A
+plain test run writes to the untracked ``benchmarks/.output/``, so running
+the suite never rewrites committed files; with ``BENCH_RECORD=1`` (set by the
+``bench`` and ``perf`` stages of ``scripts/ci.sh``) the reports land in the
+committed ``benchmarks/output/`` that EXPERIMENTS.md quotes and
+``scripts/check_perf.py`` reads.  The absolute numbers differ from the
 paper's 96-node testbed; the *shape* (who wins, by roughly what factor) is
 what the assertions check.
 """
@@ -11,6 +15,7 @@ what the assertions check.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,11 +23,14 @@ import pytest
 
 from repro.simulation.experiment import ExperimentConfig
 
-OUTPUT_DIR = Path(__file__).parent / "output"
+#: Where reports go: the committed directory only when recording on purpose.
+OUTPUT_DIR = Path(__file__).parent / (
+    "output" if os.environ.get("BENCH_RECORD") == "1" else ".output"
+)
 
 
 def save_report(name: str, text: str) -> None:
-    """Write a benchmark report to benchmarks/output/<name>.txt and echo it."""
+    """Write a benchmark report to ``OUTPUT_DIR/<name>.txt`` and echo it."""
 
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{name}.txt"
@@ -31,7 +39,7 @@ def save_report(name: str, text: str) -> None:
 
 
 def merge_json_metrics(area: str, phase: str, metrics: dict) -> Path:
-    """Merge one phase's metrics into ``benchmarks/output/BENCH_<area>.json``.
+    """Merge one phase's metrics into ``OUTPUT_DIR/BENCH_<area>.json``.
 
     The document accumulates across the tests of one run — each test owns one
     ``phases`` key — giving downstream tooling a single machine-readable file

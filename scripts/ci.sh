@@ -9,10 +9,13 @@
 #   analysis     repro.analysis static-analysis gate (determinism &
 #                serialization rules over src/ and the markdown docs)
 #   docs         documentation link check (the DOC001 analysis rule alone)
-#   test         the tier-1 pytest suite (tests + benchmark harness)
-#   bench        codec throughput benchmark in smoke mode
-#   perf         engine benchmark in smoke mode + regression gate against the
-#                committed benchmarks/BENCH_engine.snapshot.json (>20% fails);
+#   test         the tier-1 pytest suite (tests + benchmark harness); its
+#                benchmark reports go to the untracked benchmarks/.output/
+#   bench        codec throughput benchmark in smoke mode, recorded into the
+#                committed benchmarks/output/ (BENCH_RECORD=1)
+#   perf         engine benchmark in smoke mode, recorded into the committed
+#                benchmarks/output/ (BENCH_RECORD=1), + regression gate against
+#                the committed benchmarks/BENCH_engine.snapshot.json (>20% fails);
 #                also refreshes the committed repo-root BENCH_engine.json so
 #                every PR carries its own perf numbers
 #   smoke        async gossip example + orchestration sweep resume smoke +
@@ -60,7 +63,7 @@ stage_bench() {
   # The tier-1 suite already runs the throughput benchmark at full size; this
   # pass exercises the CODEC_THROUGHPUT_SMOKE env path (what slow CI runners
   # use) so a broken smoke mode cannot land silently.
-  CODEC_THROUGHPUT_SMOKE=1 python -m pytest benchmarks/test_codec_throughput.py -q
+  CODEC_THROUGHPUT_SMOKE=1 BENCH_RECORD=1 python -m pytest benchmarks/test_codec_throughput.py -q
 }
 
 stage_perf() {
@@ -69,7 +72,7 @@ stage_perf() {
   # any timed phase fails the stage (scripts/check_perf.py prints the diff).
   # After an intentional perf change, refresh the snapshot with
   # `python scripts/check_perf.py --update` and commit it.
-  ENGINE_BENCH_SMOKE=1 python -m pytest benchmarks/test_engine_perf.py -q
+  ENGINE_BENCH_SMOKE=1 BENCH_RECORD=1 python -m pytest benchmarks/test_engine_perf.py -q
   # A passing gate also refreshes the perf trajectory: the repo-root copy of
   # the latest benchmark document, so each PR commits its own numbers and
   # `git log -p BENCH_engine.json` reads as the project's perf history.

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
+from repro.compression.elias import (
+    _bit_lengths,
+    elias_gamma_decode_array,
+    elias_gamma_encode,
+)
 from repro.exceptions import CodecError
 
 __all__ = [
@@ -66,6 +70,19 @@ class IndexCodec(ABC):
     def decode(self, encoded: EncodedIndices) -> np.ndarray:
         """Recover the (sorted) indices from ``encoded``."""
 
+    def encoded_sizes(self, index_rows: np.ndarray, universe: int) -> np.ndarray:
+        """``encode(row, universe).size_bytes`` for each row of an ``(R, k)`` matrix.
+
+        Callers that only meter bytes use this instead of :meth:`encode`;
+        codecs whose size has a closed form override it so no payload is
+        built.
+        """
+
+        return np.array(
+            [self.encode(row, universe).size_bytes for row in np.asarray(index_rows)],
+            dtype=np.int64,
+        )
+
 
 class RawIndexCodec(IndexCodec):
     """Uncompressed 32-bit indices (the Figure 9 'no compression' baseline)."""
@@ -101,10 +118,7 @@ class EliasGammaIndexCodec(IndexCodec):
     def encode(self, indices: np.ndarray, universe: int) -> EncodedIndices:
         """Sort, delta-encode and Elias-gamma code the index gaps."""
 
-        values = _validate_indices(indices, universe)
-        values = np.sort(values)
-        if values.size and np.any(np.diff(values) == 0):
-            raise CodecError("duplicate indices cannot be delta-encoded")
+        values = _sorted_indices(indices, universe)
         # Gaps are >= 1 after sorting unique indices; shift the first index by
         # one so that every encoded integer is positive as gamma requires.
         gaps = np.diff(values, prepend=-1)
@@ -116,6 +130,29 @@ class EliasGammaIndexCodec(IndexCodec):
             count=count,
             universe=int(universe),
         )
+
+    def encoded_sizes(self, index_rows: np.ndarray, universe: int) -> np.ndarray:
+        """Closed-form :meth:`encode` sizes, one per row, without any bitstream.
+
+        A gap ``g`` costs ``2 * bit_length(g) - 1`` bits, the payload is the
+        bit total rounded up to whole bytes, and the header adds 12 bytes.
+        The range and distinctness checks of :meth:`encode` apply row-wise.
+        """
+
+        rows = np.asarray(index_rows, dtype=np.int64)
+        if rows.ndim != 2:
+            raise CodecError(f"expected an (R, k) index matrix, got shape {rows.shape}")
+        if universe <= 0:
+            raise CodecError("universe must be positive")
+        rows = np.sort(rows, axis=1)
+        gaps = np.diff(rows, axis=1, prepend=-1)
+        if rows.size:
+            if rows[:, 0].min() < 0 or rows[:, -1].max() >= universe:
+                raise CodecError("indices must lie in [0, universe)")
+            if gaps.min() < 1:
+                raise CodecError("indices must be distinct")
+        bits = (2 * _bit_lengths(gaps) - 1).sum(axis=1)
+        return (bits + 7) // 8 + 12
 
     def decode(self, encoded: EncodedIndices) -> np.ndarray:
         """Invert :meth:`encode`: decode the gaps and integrate them back."""
@@ -174,12 +211,22 @@ class SeedIndexCodec(IndexCodec):
         return random_indices_from_seed(encoded.extra[0], encoded.count, encoded.universe)
 
 
-def _validate_indices(indices: np.ndarray, universe: int) -> np.ndarray:
-    values = np.asarray(indices, dtype=np.int64).ravel()
+def _sorted_indices(indices: np.ndarray, universe: int) -> np.ndarray:
+    """``indices`` sorted ascending, after the range and distinctness checks."""
+
+    values = np.sort(np.asarray(indices, dtype=np.int64).ravel())
     if universe <= 0:
         raise CodecError("universe must be positive")
-    if values.size and (values.min() < 0 or values.max() >= universe):
+    if values.size and (values[0] < 0 or values[-1] >= universe):
         raise CodecError("indices must lie in [0, universe)")
-    if np.unique(values).size != values.size:
+    if np.any(values[1:] == values[:-1]):
         raise CodecError("indices must be distinct")
+    return values
+
+
+def _validate_indices(indices: np.ndarray, universe: int) -> np.ndarray:
+    """``indices`` as a flat int64 array in their given order, once checked."""
+
+    values = np.asarray(indices, dtype=np.int64).ravel()
+    _sorted_indices(values, universe)
     return values

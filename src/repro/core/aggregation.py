@@ -10,13 +10,13 @@ the parameter domain (random sampling, TopK) and the wavelet domain (JWINS).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 
-__all__ = ["SparseContribution", "partial_weighted_average"]
+__all__ = ["SparseContribution", "partial_weighted_average", "scatter_weighted_average"]
 
 
 class SparseContribution:
@@ -53,17 +53,71 @@ def partial_weighted_average(
     model instead of averaging it.
     """
 
+    own = np.asarray(own, dtype=np.float64).reshape(1, -1)
+    return scatter_weighted_average(own, [self_weight], [list(contributions)])[0]
+
+
+#: Contribution entries averaged per pass of :func:`scatter_weighted_average`;
+#: bounds its temporaries (about 0.5 MB per array) whatever the batch size.
+_TERMS_PER_PASS = 1 << 16
+
+
+def scatter_weighted_average(
+    own: np.ndarray,
+    self_weights: Sequence[float],
+    inboxes: Sequence[Sequence[SparseContribution]],
+) -> np.ndarray:
+    """Row-wise :func:`partial_weighted_average` of an ``(R, C)`` own matrix.
+
+    Row ``r`` averages ``own[r]`` (weight ``self_weights[r]``) with the
+    contributions of ``inboxes[r]``, whose indices must each be distinct.
+    Every term ``w * (values - own[r, indices])`` reads the unchanged own
+    matrix, so a block of rows computes all of its terms in one pass;
+    ``np.add.at`` then adds them into a copy of ``own`` in row-major, inbox
+    order.  It applies repeated indices one after another in index order, so
+    each element receives its additions in inbox order, exactly as a
+    per-row loop would.  Rows are independent, so blocking them changes no
+    bit; it only caps the pass size at about :data:`_TERMS_PER_PASS` terms.
+    """
+
     own = np.asarray(own, dtype=np.float64)
-    result = own.copy()
-    total_weight = float(self_weight)
-    for contribution in contributions:
-        indices = contribution.indices
-        if indices.size and (indices.min() < 0 or indices.max() >= own.size):
-            raise SimulationError("contribution indices out of range")
-        result[indices] += contribution.weight * (contribution.values - own[indices])
-        total_weight += contribution.weight
-    if total_weight > 1.0 + 1e-6:
+    totals = np.array(self_weights, dtype=np.float64)
+    if own.ndim != 2 or totals.shape != (own.shape[0],) or len(inboxes) != own.shape[0]:
         raise SimulationError(
-            f"mixing weights must not exceed 1 for a stable average, got {total_weight}"
+            f"expected an (R, C) own matrix with R self weights and R inboxes, got "
+            f"shapes {own.shape}, {totals.shape} and {len(inboxes)} inboxes"
+        )
+    width = own.shape[1]
+    own_flat = own.reshape(-1)
+    result = own.copy()
+    result_flat = result.reshape(-1)
+    row_terms = np.array(
+        [sum(contribution.indices.size for contribution in inbox) for inbox in inboxes],
+        dtype=np.int64,
+    )
+    first_term = np.cumsum(row_terms) - row_terms
+    splits = (np.flatnonzero(np.diff(first_term // _TERMS_PER_PASS)) + 1).tolist()
+    for start, stop in zip([0, *splits], [*splits, len(inboxes)]):
+        block = inboxes[start:stop]
+        contributions = [contribution for inbox in block for contribution in inbox]
+        if not contributions:
+            continue
+        flat = np.concatenate([contribution.indices for contribution in contributions])
+        if flat.size and (flat.min() < 0 or flat.max() >= width):
+            raise SimulationError("contribution indices out of range")
+        rows = np.repeat(np.arange(start, stop), [len(inbox) for inbox in block])
+        weights = np.array([contribution.weight for contribution in contributions])
+        sizes = [contribution.indices.size for contribution in contributions]
+        flat += np.repeat(rows * width, sizes)
+        terms = np.concatenate([contribution.values for contribution in contributions])
+        terms -= own_flat[flat]
+        terms *= np.repeat(weights, sizes)
+        np.add.at(result_flat, flat, terms)
+        np.add.at(totals, rows, weights)
+    excess = np.flatnonzero(totals > 1.0 + 1e-6)
+    if excess.size:
+        raise SimulationError(
+            "mixing weights must not exceed 1 for a stable average, "
+            f"got {float(totals[excess[0]])}"
         )
     return result

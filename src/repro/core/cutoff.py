@@ -10,7 +10,7 @@ behaviour (everyone suddenly sharing over-specialized parameters) is avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class CutoffDistribution:
 
     alphas: tuple[float, ...]
     probabilities: tuple[float, ...]
+    #: Normalized cumulative probabilities, derived once for :meth:`sample`.
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.alphas) != len(self.probabilities) or not self.alphas:
@@ -39,6 +41,10 @@ class CutoffDistribution:
         total = float(sum(self.probabilities))
         if not np.isclose(total, 1.0, atol=1e-9):
             raise ConfigurationError(f"probabilities must sum to 1, got {total}")
+        # The CDF ``Generator.choice(p=...)`` builds on every call.
+        cdf = np.asarray(self.probabilities, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -80,10 +86,15 @@ class CutoffDistribution:
 
     # -- behaviour ------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> float:
-        """Draw one sharing fraction."""
+        """Draw one sharing fraction.
 
-        index = rng.choice(len(self.alphas), p=self.probabilities)
-        return float(self.alphas[index])
+        Inverse-CDF sampling from one ``rng.random()`` draw: the same index,
+        and the same generator state afterwards, as
+        ``rng.choice(len(alphas), p=probabilities)``, without that call's
+        per-draw validation and CDF construction.
+        """
+
+        return float(self.alphas[self._cdf.searchsorted(rng.random(), side="right")])
 
     def expected_fraction(self) -> float:
         """The mean sharing fraction (the long-run communication budget)."""

@@ -17,21 +17,28 @@ Per round, a node running JWINS
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.compression.indices import EliasGammaIndexCodec, RawIndexCodec
 from repro.compression.sizing import PayloadSize
-from repro.core.aggregation import SparseContribution, partial_weighted_average
+from repro.core.aggregation import SparseContribution, scatter_weighted_average
 from repro.core.config import JwinsConfig
 from repro.core.interface import Message, RoundContext, SharingScheme
 from repro.core.ranking import WaveletRanker
 from repro.exceptions import SimulationError
 from repro.sparsification.base import fraction_to_count
-from repro.sparsification.topk import topk_indices
+from repro.sparsification.topk import topk_groups
 from repro.wavelets.transform import IdentityTransform, ModelTransform, WaveletTransform
 
-__all__ = ["JwinsScheme", "jwins_factory"]
+# The per-layer tracer in ``perfbench/layers.py`` patches these two names on
+# this module; they are the one-row cases of the kernels used here.
+from repro.core.aggregation import partial_weighted_average  # noqa: F401
+from repro.sparsification.topk import topk_indices  # noqa: F401
+
+__all__ = ["JwinsScheme", "aggregate_rows", "jwins_factory", "prepare_rows"]
 
 MESSAGE_KIND = "jwins-partial-wavelets"
 
@@ -96,49 +103,16 @@ class JwinsScheme(SharingScheme):
     ) -> Message:
         """Algorithm 1 lines 5-8 from precomputed coefficient vectors.
 
-        The arena engine runs the two forward DWTs (of the local change and of
-        the trained model) for *all* nodes in two batched passes and hands each
-        scheme its rows; :meth:`prepare` delegates here after computing the
-        same two vectors one node at a time, so both engines share one code
-        path and produce bit-identical messages.  ``own_coefficients`` is
-        retained by reference until :meth:`aggregate` consumes it and must not
-        be mutated by the caller in between.
+        The one-row case of :func:`prepare_rows`, which the arena engine
+        calls for all of its nodes at once, so both engines run one code path
+        and produce bit-identical messages.  ``own_coefficients`` is retained
+        by reference until :meth:`aggregate` consumes it and must not be
+        mutated by the caller in between.
         """
 
-        scores = self._adjust_scores(
-            self.ranker.round_scores_from_change(local_change_coefficients)
-        )
-        if self.config.use_random_cutoff:
-            alpha = self.config.cutoff.sample(context.rng)
-        else:
-            alpha = self._fixed_alpha
-        self.last_alpha = alpha
-        count = fraction_to_count(alpha, self.ranker.coefficient_size)
-        indices = topk_indices(scores, count)
-        own_coefficients = np.asarray(own_coefficients, dtype=np.float64)
-        self._own_coefficients = own_coefficients
-        values = own_coefficients[indices]
-        self.ranker.mark_shared(indices)
-
-        compressed_values = self._float_codec.compress(values)
-        encoded_indices = self._index_codec.encode(indices, self.ranker.coefficient_size)
-        size = PayloadSize(
-            values_bytes=compressed_values.size_bytes,
-            metadata_bytes=encoded_indices.size_bytes,
-        )
-        payload = {
-            "indices": indices,
-            "values": values,
-            "alpha": alpha,
-            "coefficient_size": self.ranker.coefficient_size,
-        }
-        return Message(
-            sender=self.node_id,
-            kind=MESSAGE_KIND,
-            payload=payload,
-            size=size,
-            shared_fraction=min(1.0, values.size / max(1, context.model_size)),
-        )
+        change = np.array(local_change_coefficients, dtype=np.float64, ndmin=2)
+        own = np.asarray(own_coefficients, dtype=np.float64).reshape(1, -1)
+        return prepare_rows([self], [context], change, own)[0]
 
     # -- Algorithm 1, lines 9-11 ------------------------------------------------
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:
@@ -151,36 +125,14 @@ class JwinsScheme(SharingScheme):
         """Algorithm 1 lines 9-10 without the final inverse transform.
 
         Returns the partially weighted-averaged coefficient vector still in
-        the transform domain.  :meth:`aggregate` immediately inverts it; the
-        arena engine instead stacks the rows of all nodes and reconstructs
-        them in one batched inverse-DWT pass — bit-identical either way.
+        the transform domain: the one-receiver case of
+        :func:`aggregate_rows`.
         """
 
         if self._own_coefficients is None:
             raise SimulationError("aggregate called before prepare")
-        contributions = []
-        for message in messages:
-            if message.kind != MESSAGE_KIND:
-                raise SimulationError(
-                    f"JWINS received an incompatible message of kind {message.kind!r}"
-                )
-            weight = context.neighbor_weights.get(message.sender)
-            if weight is None:
-                raise SimulationError(
-                    f"received a message from non-neighbor node {message.sender}"
-                )
-            contributions.append(
-                SparseContribution(
-                    weight=weight,
-                    indices=message.payload["indices"],
-                    values=message.payload["values"],
-                )
-            )
-        averaged = partial_weighted_average(
-            self._own_coefficients, context.self_weight, contributions
-        )
-        self._own_coefficients = None
-        return averaged
+        own = self._own_coefficients.reshape(1, -1)
+        return aggregate_rows([self], [context], [messages], own)[0]
 
     # -- Algorithm 1, line 12 ----------------------------------------------------
     def finalize(self, context: RoundContext, new_params: np.ndarray) -> None:
@@ -218,6 +170,127 @@ class JwinsScheme(SharingScheme):
         )
         alpha = state["last_alpha"]
         self.last_alpha = None if alpha is None else float(alpha)
+
+
+def prepare_rows(
+    schemes: Sequence[JwinsScheme],
+    contexts: Sequence[RoundContext],
+    change: np.ndarray,
+    own: np.ndarray,
+) -> list[Message]:
+    """Algorithm 1 lines 5-8 for a batch of nodes, as whole-matrix passes.
+
+    Row ``r`` of the ``(R, C)`` matrices belongs to ``schemes[r]``:
+    ``change`` holds the transformed local model changes and ``own`` the
+    transformed trained models.  The schemes must share one configuration.
+    Per row the result is bit-identical to a one-node call:
+
+    * the scores ``V + change`` are computed in place into ``change``, which
+      is consumed (IEEE addition is commutative);
+    * each node draws its cut-off from its own ``context.rng``;
+    * top-k runs once per distinct count (:func:`topk_groups`);
+    * the index metadata size comes from
+      :meth:`~repro.compression.indices.IndexCodec.encoded_sizes`, without
+      building the bitstream, since only its size reaches the message;
+    * the float payload is compressed per row, as its size depends on it.
+
+    Every scheme keeps its ``own`` row by reference until
+    :func:`aggregate_rows`.
+    """
+
+    first = schemes[0]
+    config = first.config
+    size = first.ranker.coefficient_size
+    scores = change
+    if config.use_accumulation:
+        for row, scheme in enumerate(schemes):
+            scores[row] += scheme.ranker.scores
+    for row, scheme in enumerate(schemes):
+        if type(scheme)._adjust_scores is not JwinsScheme._adjust_scores:
+            scores[row] = scheme._adjust_scores(scores[row])
+    if config.use_random_cutoff:
+        alphas = [config.cutoff.sample(context.rng) for context in contexts]
+    else:
+        alphas = [first._fixed_alpha] * len(schemes)
+    count_of = {alpha: fraction_to_count(alpha, size) for alpha in dict.fromkeys(alphas)}
+    counts = np.array([count_of[alpha] for alpha in alphas], dtype=np.int64)
+
+    messages: list[Message] = [None] * len(schemes)  # type: ignore[list-item]
+    for rows, indices in topk_groups(scores, counts):
+        values = own[rows[:, None], indices]
+        metadata_bytes = first._index_codec.encoded_sizes(indices, size).tolist()
+        for position, row in enumerate(rows.tolist()):
+            scheme = schemes[row]
+            row_indices = indices[position]
+            row_values = values[position]
+            scheme.ranker.mark_shared(row_indices)
+            payload = {
+                "indices": row_indices,
+                "values": row_values,
+                "alpha": alphas[row],
+                "coefficient_size": size,
+            }
+            messages[row] = Message(
+                sender=scheme.node_id,
+                kind=MESSAGE_KIND,
+                payload=payload,
+                size=PayloadSize(
+                    values_bytes=scheme._float_codec.compress(row_values).size_bytes,
+                    metadata_bytes=metadata_bytes[position],
+                ),
+                shared_fraction=min(
+                    1.0, row_values.size / max(1, contexts[row].model_size)
+                ),
+            )
+    for row, scheme in enumerate(schemes):
+        scheme.last_alpha = alphas[row]
+        scheme._own_coefficients = own[row]
+    return messages
+
+
+def aggregate_rows(
+    schemes: Sequence[JwinsScheme],
+    contexts: Sequence[RoundContext],
+    inboxes: Sequence[Sequence[Message]],
+    own: np.ndarray,
+) -> np.ndarray:
+    """Algorithm 1 lines 9-10 for a batch of nodes, without the inverse DWT.
+
+    ``own`` is the ``(R, C)`` matrix handed to :func:`prepare_rows` (its
+    rows are the schemes' retained coefficients); row ``r`` of the result
+    averages it with ``inboxes[r]`` through one ordered scatter-add,
+    :func:`~repro.core.aggregation.scatter_weighted_average`.
+    """
+
+    received: list[list[SparseContribution]] = []
+    for scheme, context, messages in zip(schemes, contexts, inboxes):
+        if scheme._own_coefficients is None:
+            raise SimulationError("aggregate called before prepare")
+        contributions = []
+        for message in messages:
+            if message.kind != MESSAGE_KIND:
+                raise SimulationError(
+                    f"JWINS received an incompatible message of kind {message.kind!r}"
+                )
+            weight = context.neighbor_weights.get(message.sender)
+            if weight is None:
+                raise SimulationError(
+                    f"received a message from non-neighbor node {message.sender}"
+                )
+            contributions.append(
+                SparseContribution(
+                    weight=weight,
+                    indices=message.payload["indices"],
+                    values=message.payload["values"],
+                )
+            )
+        received.append(contributions)
+    averaged = scatter_weighted_average(
+        own, [context.self_weight for context in contexts], received
+    )
+    for scheme in schemes:
+        scheme._own_coefficients = None
+    return averaged
 
 
 def jwins_factory(config: JwinsConfig | None = None):

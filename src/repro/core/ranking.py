@@ -59,12 +59,11 @@ class WaveletRanker:
     def round_scores_from_change(self, local_change: np.ndarray) -> np.ndarray:
         """Equation 3 from a precomputed coefficient-domain local change.
 
-        The arena engine computes ``DWT(x^(t,tau) - x^(t,0))`` for *all* nodes
-        in one batched pass and hands each ranker its row; this entry point
-        skips the per-node transform of :meth:`round_scores` but returns
-        bit-identical scores.  The input is never mutated (a defensive copy is
-        taken on the non-accumulating path), so rows of a shared stacked
-        matrix are safe to pass.
+        Skips the per-node transform of :meth:`round_scores` but returns
+        bit-identical scores; :func:`repro.core.jwins.prepare_rows` computes
+        the same sum in place for a whole batch of rankers.  The input is
+        never mutated (a defensive copy is taken on the non-accumulating
+        path), so rows of a shared stacked matrix are safe to pass.
         """
 
         local_change = np.asarray(local_change, dtype=np.float64)

@@ -22,6 +22,11 @@ with whole-arena numpy operations:
   :meth:`~repro.wavelets.transform.ModelTransform.forward_batch` /
   :meth:`~repro.wavelets.transform.ModelTransform.inverse_batch` call over a
   stacked coefficient matrix;
+* everything between the DWTs — ranking, top-k, index sizing and the
+  weighted average — runs as whole-matrix passes
+  (:func:`~repro.core.jwins.prepare_rows`,
+  :func:`~repro.core.jwins.aggregate_rows`), and the new models are written
+  straight into the parameter arena;
 * scenario churn/partition checks act on the active-id row set rather than on
   per-object membership tests.
 
@@ -46,14 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.interface import Message, RoundContext, SchemeFactory
-from repro.core.jwins import JwinsScheme
+from repro.core.jwins import JwinsScheme, aggregate_rows, prepare_rows
 from repro.datasets.base import LearningTask
 from repro.exceptions import SimulationError
 from repro.nn.optim import SGD
 from repro.simulation.engine import Simulator, SynchronousMode, build_nodes
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.node import SimulationNode
-from repro.wavelets.transform import ModelTransform, WaveletTransform
+from repro.wavelets.transform import ModelTransform
 
 __all__ = [
     "ArenaSGD",
@@ -252,16 +257,28 @@ class _JwinsBatchPlan:
     use_accumulation: bool
 
 
+#: The methods whose batched twins the arena round runs instead.
+_JWINS_ROUND_PROTOCOL = (
+    "prepare",
+    "prepare_from_coefficients",
+    "aggregate",
+    "aggregate_coefficients",
+    "finalize",
+    "finalize_from_change",
+)
+
+
 def _jwins_batch_plan(nodes: list[SimulationNode]) -> _JwinsBatchPlan | None:
-    """Whether (and how) the active nodes' schemes admit batched DWT dispatch.
+    """Whether (and how) the active nodes' schemes admit the batched JWINS round.
 
     The batched path is taken only when every scheme is the same
-    :class:`~repro.core.jwins.JwinsScheme` subtype that inherits ``prepare``/
-    ``aggregate``/``finalize`` unchanged (so the coefficient-level entry
-    points cover the whole protocol) and all transforms agree.  Anything else
-    — mixed schemes, a baseline scheme, a subclass overriding the round
-    protocol — falls back to per-node scheme calls, still on arena-backed
-    state.
+    :class:`~repro.core.jwins.JwinsScheme` subtype that inherits the round
+    protocol unchanged (so :func:`~repro.core.jwins.prepare_rows` and
+    :func:`~repro.core.jwins.aggregate_rows` cover it) and all schemes share
+    one configuration, hence (in a homogeneous arena) one transform layout.
+    Anything else — mixed schemes, a baseline scheme, a subclass overriding
+    the round protocol — falls back to per-node scheme calls, still on
+    arena-backed state.
     """
 
     if not nodes:
@@ -270,33 +287,16 @@ def _jwins_batch_plan(nodes: list[SimulationNode]) -> _JwinsBatchPlan | None:
     if not isinstance(first, JwinsScheme):
         return None
     cls = type(first)
-    if (
-        cls.prepare is not JwinsScheme.prepare
-        or cls.aggregate is not JwinsScheme.aggregate
-        or cls.finalize is not JwinsScheme.finalize
+    if any(
+        getattr(cls, method) is not getattr(JwinsScheme, method)
+        for method in _JWINS_ROUND_PROTOCOL
     ):
         return None
-    transform = first.transform
     for node in nodes[1:]:
-        scheme = node.scheme
-        if type(scheme) is not cls:
-            return None
-        other = scheme.transform
-        if type(other) is not type(transform):
-            return None
-        if (
-            other.model_size != transform.model_size
-            or other.coefficient_size() != transform.coefficient_size()
-        ):
-            return None
-        if isinstance(transform, WaveletTransform) and (
-            other.wavelet != transform.wavelet or other.levels != transform.levels
-        ):
-            return None
-        if scheme.ranker.use_accumulation != first.ranker.use_accumulation:
+        if type(node.scheme) is not cls or node.scheme.config != first.config:
             return None
     return _JwinsBatchPlan(
-        transform=transform, use_accumulation=first.ranker.use_accumulation
+        transform=first.transform, use_accumulation=first.ranker.use_accumulation
     )
 
 
@@ -306,17 +306,20 @@ class ArenaSynchronousMode(SynchronousMode):
     A drop-in twin of :class:`~repro.simulation.engine.SynchronousMode` that
     produces byte-identical results while replacing the per-node hot loops:
 
-    * **train** runs step-major — every active node samples, forwards and
-      backwards its own mini-batch (per-node RNG streams are independent, so
-      the reorder is bit-safe), then one :meth:`NodeArenas.step_rows` call
-      applies the SGD update to all active rows at once;
+    * **train** runs step-major — one gradient-arena zeroing, then every
+      active node samples, forwards and backwards its own mini-batch
+      (per-node RNG streams are independent, so the reorder is bit-safe),
+      then one :meth:`NodeArenas.step_rows` call applies the SGD update to
+      all active rows at once;
     * **encode** computes the two forward DWTs of a JWINS round for all
-      active nodes in two batched passes and hands each scheme its rows via
-      :meth:`~repro.core.jwins.JwinsScheme.prepare_from_coefficients`;
-    * **aggregate** collects each node's weighted coefficient average, then
-      reconstructs all rows in one batched inverse DWT, and feeds the
-      end-of-round accumulator update from one batched forward DWT of the
-      round changes.
+      active nodes in two batched passes, then ranks, cuts off, selects and
+      sizes every message in one :func:`~repro.core.jwins.prepare_rows` call;
+    * **aggregate** averages all inboxes in one ordered scatter-add
+      (:func:`~repro.core.jwins.aggregate_rows`), reconstructs all rows in
+      one batched inverse DWT, feeds the end-of-round accumulator update
+      from one batched forward DWT of the round changes, and writes the new
+      models straight into :attr:`NodeArenas.params`, which every node's
+      parameters view.
 
     The delivery loop is copied verbatim from the per-node mode — the shared
     message-drop RNG must consume draws in exactly the per-node order —
@@ -358,9 +361,9 @@ class ArenaSynchronousMode(SynchronousMode):
                 for node in active_nodes:
                     node.model.train()
                 for _ in range(config.local_steps):
+                    arenas.grads[active_rows] = 0.0
                     for position, node in enumerate(active_nodes):
                         inputs, targets = node.sample_batch()
-                        node.model.zero_grad()
                         outputs = node.model.forward(inputs)
                         losses[position].append(node.loss.forward(outputs, targets))
                         node.model.backward(node.loss.backward())
@@ -373,7 +376,7 @@ class ArenaSynchronousMode(SynchronousMode):
 
             # -- byzantine + contexts (per-node loops over reorder-safe streams) ---
             presented: list[np.ndarray] = []
-            contexts: dict[int, RoundContext] = {}
+            contexts: list[RoundContext] = []
             for position, node in enumerate(active_nodes):
                 presented.append(
                     simulator.apply_byzantine(
@@ -384,12 +387,15 @@ class ArenaSynchronousMode(SynchronousMode):
                         trained_matrix[position],
                     )
                 )
-                contexts[node.node_id] = simulator.make_context(
-                    node, round_index, start_matrix[position], presented[position],
-                    now=clock,
+                contexts.append(
+                    simulator.make_context(
+                        node, round_index, start_matrix[position], presented[position],
+                        now=clock,
+                    )
                 )
+            schemes = [node.scheme for node in active_nodes]
 
-            # -- encode: batched DWT passes, one scheme call per node --------------
+            # -- encode: batched DWT passes, then one batched JWINS encode ---------
             messages: dict[int, Message] = {}
             with simulator.profile("encode"):
                 if plan is not None:
@@ -398,26 +404,23 @@ class ArenaSynchronousMode(SynchronousMode):
                         presented_matrix - start_matrix
                     )
                     own_matrix = plan.transform.forward_batch(presented_matrix)
-                    for position, node in enumerate(active_nodes):
-                        context = contexts[node.node_id]
-                        message = node.scheme.prepare_from_coefficients(
-                            context, change_matrix[position], own_matrix[position]
-                        )
+                    del presented_matrix
+                    prepared = prepare_rows(schemes, contexts, change_matrix, own_matrix)
+                    del change_matrix
+                    for node, context, message in zip(active_nodes, contexts, prepared):
                         messages[node.node_id] = simulator.record_prepared_message(
                             node, context, message
                         )
                 else:
-                    for node in active_nodes:
-                        messages[node.node_id] = simulator.prepare_message(
-                            node, contexts[node.node_id]
-                        )
+                    for node, context in zip(active_nodes, contexts):
+                        messages[node.node_id] = simulator.prepare_message(node, context)
 
             # -- deliver (verbatim per-node loop: shared drop-RNG draw order) ------
             round_fractions = [
                 messages[node_id].shared_fraction for node_id in state.active
             ]
             drops_enabled = config.message_drop_probability > 0.0
-            inboxes: dict[int, list[Message]] = {}
+            inboxes: list[list[Message]] = []
             for node in active_nodes:
                 inbox: list[Message] = []
                 for neighbor in simulator.topology.neighbors(node.node_id):
@@ -433,36 +436,26 @@ class ArenaSynchronousMode(SynchronousMode):
                     inbox.append(message)
                 for message in inbox:
                     simulator.emit_message(message, node.node_id, clock)
-                inboxes[node.node_id] = inbox
+                inboxes.append(inbox)
 
-            # -- aggregate: batched inverse DWT + batched accumulator update -------
+            # -- aggregate: one scatter-add, batched DWTs, direct writeback --------
             with simulator.profile("aggregate"):
-                if plan is not None and active_nodes:
-                    averaged_matrix = np.stack(
-                        [
-                            node.scheme.aggregate_coefficients(
-                                contexts[node.node_id], inboxes[node.node_id]
-                            )
-                            for node in active_nodes
-                        ]
-                    )
+                if plan is not None:
+                    averaged_matrix = aggregate_rows(schemes, contexts, inboxes, own_matrix)
+                    del own_matrix
                     new_matrix = plan.transform.inverse_batch(averaged_matrix)
+                    del averaged_matrix
                     if plan.use_accumulation:
                         round_change_matrix = plan.transform.forward_batch(
                             new_matrix - start_matrix
                         )
-                        for position, node in enumerate(active_nodes):
-                            node.scheme.finalize_from_change(
-                                round_change_matrix[position]
-                            )
-                    for position, node in enumerate(active_nodes):
-                        node.set_parameters(new_matrix[position])
+                        for scheme, round_change in zip(schemes, round_change_matrix):
+                            scheme.finalize_from_change(round_change)
+                        del round_change_matrix
+                    arenas.params[active_rows] = new_matrix
                 else:
-                    for node in active_nodes:
-                        context = contexts[node.node_id]
-                        new_params = node.scheme.aggregate(
-                            context, inboxes[node.node_id]
-                        )
+                    for node, context, inbox in zip(active_nodes, contexts, inboxes):
+                        new_params = node.scheme.aggregate(context, inbox)
                         node.scheme.finalize(context, new_params)
                         node.set_parameters(new_params)
 

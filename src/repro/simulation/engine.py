@@ -603,9 +603,10 @@ class Simulator:
         """Validate and meter a round message produced for ``node``.
 
         Shared tail of :meth:`prepare_message`; the arena engine's batched
-        encode path builds messages itself (one batched DWT pass, then one
-        scheme call per node) and routes them through here so the sender check
-        and the byte metering stay identical across engines.
+        encode path builds all messages at once
+        (:func:`~repro.core.jwins.prepare_rows`) and routes each through here
+        so the sender check and the byte metering stay identical across
+        engines.
         """
 
         if message.sender != node.node_id:

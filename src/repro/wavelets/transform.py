@@ -17,6 +17,7 @@ coefficient vector whose length is reported by :meth:`ModelTransform.coefficient
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,20 @@ class IdentityTransform(ModelTransform):
         return self._check_batch(coefficients, self._model_size).copy()
 
 
+@lru_cache(maxsize=None)
+def _probe_layout(model_size: int, wavelet: str, levels: int) -> CoefficientLayout:
+    """The coefficient layout of a ``model_size`` vector, from one probe DWT.
+
+    The layout depends on nothing but the key, and it is frozen, so every
+    transform of the same shape shares one probe instead of running its own
+    (a deployment builds one transform per node).
+    """
+
+    probe = wavedec(np.zeros(model_size), wavelet, levels)
+    _, layout = pack_coefficients(probe)
+    return layout
+
+
 class WaveletTransform(ModelTransform):
     """Multi-level DWT of the flat parameter vector (JWINS default).
 
@@ -148,10 +163,7 @@ class WaveletTransform(ModelTransform):
         super().__init__(model_size)
         self.wavelet = wavelet
         self.levels = min(int(levels), max_decomposition_level(model_size, wavelet))
-        # The coefficient layout only depends on the model size, so compute it
-        # once from a probe vector and reuse it for every forward/inverse call.
-        probe = wavedec(np.zeros(model_size), wavelet, self.levels)
-        _, self._layout = pack_coefficients(probe)
+        self._layout = _probe_layout(self.model_size, wavelet, self.levels)
 
     @property
     def layout(self) -> CoefficientLayout:

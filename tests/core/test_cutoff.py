@@ -89,3 +89,26 @@ def test_invalid_distributions_raise():
 def test_max_fraction():
     assert CutoffDistribution.uniform().max_fraction() == 1.0
     assert CutoffDistribution.fixed(0.3).max_fraction() == 0.3
+
+
+@pytest.mark.parametrize(
+    "distribution",
+    [
+        CutoffDistribution.uniform(),
+        CutoffDistribution.budgeted(0.1),
+        CutoffDistribution.budgeted(0.2),
+        CutoffDistribution.fixed(0.25),
+    ],
+    ids=["uniform", "budgeted-0.1", "budgeted-0.2", "fixed"],
+)
+def test_sample_matches_generator_choice_and_its_stream(distribution):
+    """Inverse-CDF sampling draws what ``rng.choice(p=...)`` drew, and leaves
+    the generator in the same state, so every later draw matches too."""
+
+    for seed in range(10_000):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        alpha = distribution.sample(ours)
+        index = theirs.choice(len(distribution.alphas), p=distribution.probabilities)
+        assert alpha == float(distribution.alphas[index]), seed
+        assert ours.bit_generator.state == theirs.bit_generator.state, seed

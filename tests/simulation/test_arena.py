@@ -262,6 +262,31 @@ def test_snapshots_cross_engines(pause_engine, resume_engine):
     assert dumps(resumed) == dumps(uninterrupted)
 
 
+def test_arena_writeback_reaches_every_model_after_a_restore():
+    """The aggregate writes ``arenas.params`` directly, never through the
+    models; after a mid-run restore every node's parameters must still view
+    the arena rows, so the written rows are what each model holds, and what
+    an uninterrupted per-node run's models hold."""
+
+    config = build_config(momentum=0.9).with_engine("arena")
+    uninterrupted = Simulator(make_toy_task(), jwins_factory(), config.with_engine("pernode"))
+    uninterrupted.run()
+    resumed = Simulator(
+        make_toy_task(),
+        jwins_factory(),
+        config,
+        resume_from=json_roundtrip(pause_at(config, 3)),
+    )
+    resumed.run()
+    for node, reference in zip(resumed.nodes, uninterrupted.nodes):
+        for parameter in node.model.parameters():
+            assert np.shares_memory(parameter.value, resumed.arenas.params)
+        np.testing.assert_array_equal(
+            node.get_parameters(), resumed.arenas.params[node.node_id]
+        )
+        assert node.get_parameters().tobytes() == reference.get_parameters().tobytes()
+
+
 # -- arena plumbing ----------------------------------------------------------------
 
 

@@ -7,7 +7,10 @@ These tests count work instead of timing it, so they are exact on any host:
 
 * the edge list of every topology is iterated a constant number of times
   (at construction), however many nodes, rounds and lookups follow;
-* ``ScenarioSchedule.state_at`` runs at most once per round.
+* ``ScenarioSchedule.state_at`` runs at most once per round;
+* an arena JWINS round runs its encode, average and writeback as matrix
+  passes: no per-row top-k, Elias-gamma encode, weighted average or flat
+  parameter write is called, whatever N is.
 
 Each execution path is covered: the arena sync engine, the per-node sync
 engine and event-driven gossip, under a scenario with churn, a partition and
@@ -20,7 +23,11 @@ from collections import Counter
 
 import pytest
 
-from repro.core import jwins_factory
+from repro.compression.indices import EliasGammaIndexCodec
+from repro.core import aggregation, jwins, jwins_factory
+from repro.nn import module
+from repro.simulation import node as simulation_node
+from repro.sparsification import topk
 from repro.scenarios.schedule import NodeOutage, PartitionWindow, ScenarioSchedule
 from repro.simulation import ExperimentConfig, Simulator
 from repro.topology import policy
@@ -63,6 +70,23 @@ def _scenario(num_nodes: int) -> ScenarioSchedule:
     )
 
 
+def _config(path: str, num_nodes: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        num_nodes=num_nodes,
+        degree=4,
+        rounds=ROUNDS,
+        local_steps=1,
+        batch_size=8,
+        eval_every=ROUNDS,
+        eval_nodes=4,
+        eval_test_samples=32,
+        seed=5,
+        partition="iid",
+        scenario=_scenario(num_nodes),
+        **PATHS[path],
+    )
+
+
 def _run(path: str, num_nodes: int, monkeypatch) -> tuple[list[int], Counter]:
     """Run one deployment; returns per-topology edge iterations and state_at calls."""
 
@@ -86,22 +110,8 @@ def _run(path: str, num_nodes: int, monkeypatch) -> tuple[list[int], Counter]:
     with monkeypatch.context() as patch:
         patch.setitem(policy.TOPOLOGY_GENERATORS, "random-regular", counted_generator)
         patch.setattr(ScenarioSchedule, "state_at", counted_state_at)
-        config = ExperimentConfig(
-            num_nodes=num_nodes,
-            degree=4,
-            rounds=ROUNDS,
-            local_steps=1,
-            batch_size=8,
-            eval_every=ROUNDS,
-            eval_nodes=4,
-            eval_test_samples=32,
-            seed=5,
-            partition="iid",
-            scenario=_scenario(num_nodes),
-            **PATHS[path],
-        )
         task = make_toy_task(train_samples=2 * num_nodes)
-        result = Simulator(task, jwins_factory(), config).run()
+        result = Simulator(task, jwins_factory(), _config(path, num_nodes)).run()
     assert result.rounds_completed == ROUNDS
     assert len(result.scenario_rounds) == ROUNDS
     return [edges.iterations for edges in topologies], state_calls
@@ -127,3 +137,38 @@ def test_state_at_runs_at_most_once_per_round(path, monkeypatch):
         # node that has already finished its last round.
         assert set(range(ROUNDS)) <= set(calls) <= set(range(ROUNDS + 1)), (size, calls)
         assert max(calls.values()) == 1, (size, calls)
+
+
+#: Per-row functions a batched arena JWINS round must not call, at every
+#: place a caller could look them up.
+PER_ROW_CALLS = (
+    (topk, "topk_indices"),
+    (jwins, "topk_indices"),
+    (EliasGammaIndexCodec, "encode"),
+    (aggregation, "partial_weighted_average"),
+    (jwins, "partial_weighted_average"),
+    (module, "set_flat_parameters"),
+    (simulation_node, "set_flat_parameters"),
+)
+
+
+@pytest.mark.parametrize("num_nodes", SIZES)
+def test_arena_jwins_round_makes_no_per_row_calls(num_nodes, monkeypatch):
+    calls: Counter = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    task = make_toy_task(train_samples=2 * num_nodes)
+    simulator = Simulator(task, jwins_factory(), _config("arena-sync", num_nodes))
+    with monkeypatch.context() as patch:
+        for owner, name in PER_ROW_CALLS:
+            patch.setattr(owner, name, counting(name, getattr(owner, name)))
+        result = simulator.run()
+    assert result.rounds_completed == ROUNDS
+    assert result.total_bytes > 0
+    assert calls == Counter(), calls

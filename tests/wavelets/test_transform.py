@@ -83,3 +83,23 @@ def test_sparsifying_low_frequency_band_keeps_most_energy():
     reconstructed = transform.inverse(kept)
     energy_ratio = np.sum(reconstructed**2) / np.sum(smooth**2)
     assert energy_ratio > 0.9
+
+
+def test_cached_layouts_equal_a_fresh_probe():
+    """Transforms share one memoized layout per (size, wavelet, levels) key,
+    and it is exactly the layout a probe decomposition of that shape yields."""
+
+    from repro.wavelets.dwt import wavedec
+    from repro.wavelets.filters import available_wavelets
+    from repro.wavelets.packing import pack_coefficients
+
+    for wavelet in available_wavelets():
+        for size in (1, 2, 3, 7, 8, 31, 64, 100, 333, 340, 1000, 4097):
+            for levels in (1, 4, 9):
+                transform = WaveletTransform(size, wavelet=wavelet, levels=levels)
+                _, fresh = pack_coefficients(
+                    wavedec(np.zeros(size), wavelet, transform.levels)
+                )
+                assert transform.layout == fresh, (wavelet, size, levels)
+                again = WaveletTransform(size, wavelet=wavelet, levels=levels)
+                assert again.layout is transform.layout
